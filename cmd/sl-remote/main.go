@@ -118,7 +118,7 @@ func run() error {
 		promoteAfter = flag.Duration("promote-after", 5*time.Second, "follower mode: promote once the leader has been unreachable this long")
 
 		stateDir       = flag.String("state-dir", "", "directory for the durable state (WAL + snapshots); empty runs in-memory only")
-		fsync          = flag.String("fsync", "batched", "WAL durability: always (fsync per record), batched (group commit), off (no fsync)")
+		fsync          = flag.String("fsync", "batched", "WAL durability: always or batched (fsync per record; renewals group-commit upstream, one record per coalesced batch), off (no fsync)")
 		snapshotEvery  = flag.Int("snapshot-every", 1024, "take a snapshot and compact the WAL after this many logged records; 0 snapshots only at shutdown")
 		sealSecret     = flag.String("seal-secret", "", "secret sealing escrowed root keys and snapshots on disk (stands in for the SGX sealing key; required with -state-dir)")
 		sealSecretFile = flag.String("seal-secret-file", "", "read the seal secret from this file instead of the command line")

@@ -147,43 +147,70 @@ func walkChain(sealed [][]byte, sealKey seccrypto.Key) (seq uint64, head [32]byt
 	return seq, head, tail, nil
 }
 
-// Append assigns the record its sequence number, timestamp, and chain
-// link, seals it, and writes it out (fsynced). Failures are counted in
-// audit_append_failures_total and returned; the in-memory head only
-// advances on success, so a failed append never forks the chain. Safe on
-// a nil receiver (no-op).
+// Append appends one record: AppendBatch of one.
 func (l *Log) Append(rec Record) error {
-	if l == nil {
+	return l.AppendBatch([]Record{rec})
+}
+
+// AppendBatch assigns each record its sequence number, timestamp, and
+// chain link, in order, seals them, and writes them out with one write and
+// one fsync: all of them or none. Failures are counted in
+// audit_append_failures_total (one per record lost) and returned; the
+// in-memory head only advances on success, so a failed batch never forks
+// the chain. Safe on a nil receiver (no-op).
+func (l *Log) AppendBatch(recs []Record) error {
+	if l == nil || len(recs) == 0 {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec.Seq = l.seq + 1
-	rec.Time = time.Now().UnixNano()
-	rec.PrevHash = append([]byte(nil), l.lastHash[:]...)
-	plain, err := json.Marshal(rec)
-	if err != nil {
-		l.failures.Inc()
-		return fmt.Errorf("audit: encoding record: %w", err)
+	if err := l.appendLocked(recs); err != nil {
+		l.failures.Add(int64(len(recs)))
+		return err
 	}
+	return nil
+}
+
+// appendLocked chains, seals and writes recs. On error it has changed
+// nothing: the head, the window and the file are as before.
+func (l *Log) appendLocked(recs []Record) error {
+	now := time.Now().UnixNano()
+	seq, head := l.seq, l.lastHash
+	chained := make([]Record, len(recs))
+	var sealed [][]byte
 	if l.file != nil {
-		sealed, err := seccrypto.ProtectWithKey(plain, l.sealKey, nil)
+		sealed = make([][]byte, len(recs))
+	}
+	for i, rec := range recs {
+		seq++
+		rec.Seq = seq
+		rec.Time = now
+		rec.PrevHash = append([]byte(nil), head[:]...)
+		plain, err := json.Marshal(rec)
 		if err != nil {
-			l.failures.Inc()
-			return fmt.Errorf("audit: sealing record: %w", err)
+			return fmt.Errorf("audit: encoding record: %w", err)
 		}
-		if err := l.file.Append(sealed); err != nil {
-			l.failures.Inc()
+		if sealed != nil {
+			if sealed[i], err = seccrypto.ProtectWithKey(plain, l.sealKey, nil); err != nil {
+				return fmt.Errorf("audit: sealing record: %w", err)
+			}
+		}
+		head = sha256.Sum256(plain)
+		chained[i] = rec
+	}
+	if sealed != nil {
+		if err := l.file.AppendBatch(sealed); err != nil {
 			return fmt.Errorf("audit: %w", err)
 		}
 	}
-	l.seq = rec.Seq
-	l.lastHash = sha256.Sum256(plain)
-	l.tail = append(l.tail, rec)
-	if len(l.tail) > tailCap {
-		l.tail = l.tail[1:]
+	l.seq, l.lastHash = seq, head
+	l.tail = append(l.tail, chained...)
+	if over := len(l.tail) - tailCap; over > 0 {
+		l.tail = l.tail[over:]
 	}
-	l.appends.With(rec.Op).Inc()
+	for _, rec := range chained {
+		l.appends.With(rec.Op).Inc()
+	}
 	return nil
 }
 
@@ -287,7 +314,7 @@ func (l *Log) ExposeMetrics(reg *obs.Registry) {
 	}
 	l.mu.Lock()
 	l.appends = reg.CounterVec("audit_records_total", "Audit records appended, by operation.", "op")
-	l.failures = reg.Counter("audit_append_failures_total", "Audit appends that failed (seal or I/O error).")
+	l.failures = reg.Counter("audit_append_failures_total", "Audit records lost to failed appends (encoding, seal or I/O error).")
 	l.mu.Unlock()
 	reg.GaugeFunc("audit_chain_length", "Records in the audit hash chain.", nil,
 		func() float64 { return float64(l.Len()) })

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,6 +275,127 @@ func TestAuditMetricsAndHTTP(t *testing.T) {
 	if got := snap.Get("audit_append_failures_total", nil); got != 0 {
 		t.Errorf("audit_append_failures_total = %v, want 0", got)
 	}
+}
+
+// TestAuditAppendBatch interleaves batched and single appends: the chain
+// stays one contiguous, verifiable sequence across both, survives a
+// reopen, and the /audit window keeps only the newest tailCap records.
+func TestAuditAppendBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, err := Open(path, testKey(t))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	appendLifecycle(t, l)
+	batch := make([]Record, tailCap)
+	for i := range batch {
+		batch[i] = Record{Op: OpRenew, SLID: fmt.Sprintf("SL-%d", i), License: "lic", Units: int64(i + 1)}
+	}
+	if err := l.AppendBatch(batch); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if err := l.Append(Record{Op: OpDeny, SLID: "SL-x", License: "lic", Err: "exhausted"}); err != nil {
+		t.Fatalf("Append after a batch: %v", err)
+	}
+	if err := l.AppendBatch(batch[:3]); err != nil {
+		t.Fatalf("second AppendBatch: %v", err)
+	}
+	if err := l.AppendBatch(nil); err != nil {
+		t.Fatalf("empty AppendBatch: %v", err)
+	}
+	want := uint64(4 + tailCap + 1 + 3)
+	if l.Len() != want {
+		t.Fatalf("Len = %d, want %d", l.Len(), want)
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("Verify after batched appends: %v", err)
+	}
+	tail := l.Tail(0)
+	if len(tail) != tailCap {
+		t.Fatalf("retained window = %d records, want tailCap %d", len(tail), tailCap)
+	}
+	for i, rec := range tail {
+		if rec.Seq != want-uint64(tailCap)+uint64(i)+1 {
+			t.Fatalf("window record %d has seq %d, want %d", i, rec.Seq, want-uint64(tailCap)+uint64(i)+1)
+		}
+	}
+	if tail[len(tail)-1].SLID != "SL-2" || tail[len(tail)-4].Op != OpDeny {
+		t.Fatalf("window tail out of order: %+v", tail[len(tail)-4:])
+	}
+	head := l.HeadHash()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path, testKey(t))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if l2.Len() != want || l2.HeadHash() != head {
+		t.Fatalf("reopen: len %d head %x, want %d / %x", l2.Len(), l2.HeadHash(), want, head)
+	}
+}
+
+// TestAuditAppendBatchFailureKeepsHead proves a failed batch is all or
+// nothing: neither an unencodable record nor a failing file advances the
+// head, lands a record, or breaks the chain for later appends.
+func TestAuditAppendBatchFailureKeepsHead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, err := Open(path, testKey(t))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	reg := obs.NewRegistry()
+	l.ExposeMetrics(reg)
+	appendLifecycle(t, l)
+	head, n := l.HeadHash(), l.Len()
+	unchanged := func(what string) {
+		t.Helper()
+		if l.HeadHash() != head || l.Len() != n || len(l.Tail(0)) != int(n) {
+			t.Fatalf("%s advanced the chain: len %d, want %d", what, l.Len(), n)
+		}
+		if err := l.Verify(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+
+	// NaN does not encode: the batch fails before anything is written.
+	bad := []Record{
+		{Op: OpRenew, SLID: "SL-2", License: "lic", Units: 1},
+		{Op: OpRenew, SLID: "SL-3", License: "lic", Units: 1, Alg1: &Alg1{Alpha: math.NaN()}},
+	}
+	if err := l.AppendBatch(bad); err == nil {
+		t.Fatal("batch with an unencodable record succeeded")
+	}
+	unchanged("an unencodable batch")
+
+	// A file that rejects the write: the whole batch is refused.
+	file := l.file
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch(bad[:1]); err == nil {
+		t.Fatal("batch on a closed file succeeded")
+	}
+	if got := reg.Counter("audit_append_failures_total", "").Value(); got != 3 {
+		t.Fatalf("audit_append_failures_total = %d, want 3 (one per record lost)", got)
+	}
+	reopened, _, err := store.OpenAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.file = reopened
+	l.mu.Unlock()
+	unchanged("a failed write")
+
+	if err := l.AppendBatch(bad[:1]); err != nil {
+		t.Fatalf("append after failed batches: %v", err)
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("chain after recovery: %v", err)
+	}
+	l.Close()
 }
 
 func BenchmarkAuditAppendMemory(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/slremote"
@@ -140,9 +141,10 @@ func TestSnapshotDirSyncFailureDoesNotShadowWAL(t *testing.T) {
 	if err := s.Append([]byte("pre-snapshot")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	// Snapshot syncs three times: the outgoing WAL, the temp image file,
-	// and the directory after the rename. Skip the first two.
-	fsys.Arm(FSFault{Kind: SyncFail, After: 2})
+	// Snapshot syncs twice: the temp image file, and the directory after
+	// the rename (the outgoing WAL is already durable — every append
+	// fsyncs before it returns). Skip the first.
+	fsys.Arm(FSFault{Kind: SyncFail, After: 1})
 	if err := s.Snapshot([]byte("image")); !errors.Is(err, ErrInjectedSync) {
 		t.Fatalf("snapshot with failing dir sync: got %v, want ErrInjectedSync", err)
 	}
@@ -205,6 +207,47 @@ func TestAppendFileRollbackThroughChaosFS(t *testing.T) {
 	}
 	if len(recs) != 2 || string(recs[0]) != "one" || string(recs[1]) != "two" {
 		t.Fatalf("records %q, want [one two]", recs)
+	}
+}
+
+// TestAppendBatchRollbackThroughChaosFS: a batch whose write is cut short
+// or whose fsync fails is rolled back whole — none of its frames survive —
+// and the file still decodes and accepts later appends.
+func TestAppendBatchRollbackThroughChaosFS(t *testing.T) {
+	for _, kind := range []string{ShortWrite, SyncFail} {
+		t.Run(kind, func(t *testing.T) {
+			path := t.TempDir() + "/chain.log"
+			fsys := NewFS(nil)
+			af, _, err := store.OpenAppendFileFS(fsys, path)
+			if err != nil {
+				t.Fatalf("OpenAppendFileFS: %v", err)
+			}
+			defer af.Close()
+			if err := af.AppendBatch([][]byte{[]byte("one"), []byte("two")}); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			fsys.Arm(FSFault{Kind: kind})
+			if err := af.AppendBatch([][]byte{[]byte("lost-1"), []byte("lost-2"), []byte("lost-3")}); err == nil {
+				t.Fatal("faulted batch reported success")
+			}
+			if recs, err := store.ReadAppendFileFS(fsys, path); err != nil || len(recs) != 2 {
+				t.Fatalf("after the failed batch: %d records, err %v; want the 2 before it", len(recs), err)
+			}
+			if err := af.AppendBatch([][]byte{[]byte("three"), []byte("four")}); err != nil {
+				t.Fatalf("append after rollback: %v", err)
+			}
+			recs, err := store.ReadAppendFileFS(fsys, path)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			got := make([]string, len(recs))
+			for i, r := range recs {
+				got[i] = string(r)
+			}
+			if strings.Join(got, ",") != "one,two,three,four" {
+				t.Fatalf("records %q, want [one two three four]", got)
+			}
+		})
 	}
 }
 

@@ -38,10 +38,14 @@ const (
 	// error. Severing keeps the fault self-contained, as with Dup.
 	Corrupt = "corrupt"
 	// Reorder holds one write's bytes back and releases them after the
-	// connection's NEXT write goes through first. The wire layer frames
-	// each envelope with a single Write call, so this swaps two whole
-	// messages — the out-of-order delivery a pipelining client's demux
-	// must survive. A frame still held when the connection closes is
+	// connection's NEXT write goes through first, or after reorderHold if
+	// no next write comes sooner. The wire layer frames each envelope
+	// with a single Write call, so this swaps two whole messages — the
+	// out-of-order delivery a pipelining client's demux must survive. The
+	// hold is bounded in time because a real network delays a frame, it
+	// does not keep it until the sender speaks again: a server that
+	// coalesces its replies may have nothing more to write until the held
+	// ones arrive. A frame still held when the connection closes is
 	// flushed before the close, so a reorder never degrades to a drop;
 	// a severing fault firing while a frame is held may still lose it.
 	Reorder = "reorder"
@@ -54,6 +58,10 @@ var ErrConnFault = errors.New("chaos: injected connection fault")
 // reorder against other goroutines' work, short enough to stay far from
 // any test deadline.
 const delayDuration = 5 * time.Millisecond
+
+// reorderHold bounds how long a Reorder fault holds a frame when no later
+// write overtakes it.
+const reorderHold = 2 * time.Millisecond
 
 // ConnFault is one armed connection fault.
 type ConnFault struct {
@@ -179,6 +187,7 @@ type Conn struct {
 
 	hmu  sync.Mutex
 	held []byte // one frame held back by a Reorder fault; guarded by hmu
+	hold int    // numbers the holds, so a hold's timer releases only its own frame; guarded by hmu
 }
 
 // WrapConn attaches a director to one connection.
@@ -192,8 +201,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.hmu.Lock()
 		if c.held == nil {
 			c.held = append([]byte(nil), p...)
+			c.hold++
+			hold := c.hold
 			c.hmu.Unlock()
-			// Held, not lost: the next write (or Close) releases it.
+			// Held, not lost: the next write, Close, or the hold timer —
+			// whichever comes first — releases it.
+			time.AfterFunc(reorderHold, func() { c.release(hold) })
 			return len(p), nil
 		}
 		c.hmu.Unlock()
@@ -231,16 +244,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return n, nil
 	}
 	n, err := c.Conn.Write(p)
-	c.flushHeld()
+	c.release(0)
 	return n, err
 }
 
-// flushHeld writes out a frame held by a Reorder fault, after the write
-// that overtook it.
-func (c *Conn) flushHeld() {
+// release writes out the frame a Reorder fault holds, after the write
+// that overtook it. A hold timer passes its hold number and releases the
+// frame only if it is still that hold's; 0 releases whatever is held.
+func (c *Conn) release(hold int) {
 	c.hmu.Lock()
-	h := c.held
-	c.held = nil
+	var h []byte
+	if hold == 0 || hold == c.hold {
+		h, c.held = c.held, nil
+	}
 	c.hmu.Unlock()
 	if len(h) != 0 {
 		_, _ = c.Conn.Write(h)
@@ -250,6 +266,6 @@ func (c *Conn) flushHeld() {
 // Close flushes any frame a Reorder fault is still holding, then closes
 // the connection: reordering delays delivery, it never suppresses it.
 func (c *Conn) Close() error {
-	c.flushHeld()
+	c.release(0)
 	return c.Conn.Close()
 }

@@ -39,7 +39,7 @@ type NodeOptions struct {
 	// It outlives any one leader: a promoted follower appends to the same
 	// chain, which is how the chain stays verifiable across failovers.
 	Audit *audit.Log
-	// SyncMode is the WAL durability mode (default SyncBatched).
+	// SyncMode is the WAL durability mode (zero value: SyncAlways).
 	SyncMode store.SyncMode
 	// SnapshotEvery compacts the WAL after this many records (0: only on
 	// demand).

@@ -209,8 +209,8 @@ func (h *swarmHarness) fatalf(format string, args ...any) {
 
 // boot opens (or re-opens) the durable SL-Remote: audit log on the real
 // filesystem, WAL through the chaos filesystem, wire server behind the
-// chaos listener. SyncAlways keeps the fault positions deterministic — a
-// group-commit timer would race the op sequence.
+// chaos listener. Every append fsyncs in line, so the fault positions
+// follow the op sequence deterministically.
 func (h *swarmHarness) boot() {
 	h.t.Helper()
 	aud, err := audit.Open(filepath.Join(h.stateDir, "audit.log"), h.sealKey)

@@ -228,10 +228,10 @@ func TestRenewBatchReplay(t *testing.T) {
 
 // BenchmarkRenewalCoalescing is the server-side throughput regression
 // test: many goroutines renew concurrently against one persisted license,
-// so batches form naturally and N renewals share WAL appends and fsync
-// windows. Reported ops are renewals completed.
+// so batches form naturally and N renewals share one WAL append and its
+// fsync. Reported ops are renewals completed.
 func BenchmarkRenewalCoalescing(b *testing.B) {
-	st, _, err := store.Open(store.Options{Dir: b.TempDir(), Mode: store.SyncBatched})
+	st, _, err := store.Open(store.Options{Dir: b.TempDir(), Mode: store.SyncAlways})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func BenchmarkRenewalCoalescing(b *testing.B) {
 	}
 	var next atomic.Int64
 	// RunParallel defaults to GOMAXPROCS goroutines; on a small box that
-	// can mean one renewal per sync window and no batching at all. Force
+	// can mean one renewal per fsync and no batching at all. Force
 	// enough concurrent renewers that batches form regardless of core
 	// count — the coalescing win is what this benchmark exists to pin.
 	b.SetParallelism(16)

@@ -152,7 +152,7 @@ func (r *Replica) Promote(pc PersistConfig) (*Server, error) {
 func (s *Server) resetLocked() {
 	s.licenses = make(map[string]*License)
 	s.clients = make(map[string]*clientState)
-	s.holders = make(map[string]map[string]*clientState)
+	s.holders = make(map[string][]*clientState)
 	s.nextSLID = 0
 	s.stats = ServerStats{}
 }

@@ -20,8 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,11 +148,11 @@ type Server struct {
 	licenses map[string]*License
 	clients  map[string]*clientState
 	// holders indexes, per license ID, the clients with a positive
-	// outstanding balance — Algorithm 1's concurrency set. Renewals walk
-	// this index instead of every registered client, which is what keeps a
-	// renewal O(holders of one license) when a shard serves hundreds of
-	// thousands of clients.
-	holders  map[string]map[string]*clientState
+	// outstanding balance — Algorithm 1's concurrency set — in sorted-SLID
+	// order. Renewals copy this order instead of walking every registered
+	// client or re-sorting the holders, which keeps a grant O(holders of one
+	// license); the order changes only when a holder joins or leaves.
+	holders  map[string][]*clientState // guardedby: mu
 	nextSLID int
 	persist  *persister // nil: in-memory only (see persist.go)
 	audit    *audit.Log // nil: no audit trail (see AttachAudit)
@@ -186,9 +187,10 @@ func (s *Server) AttachAudit(log *audit.Log) {
 	s.mu.Unlock()
 }
 
-// auditLocked appends one audit record, best-effort (nil-safe).
-func (s *Server) auditLocked(rec audit.Record) {
-	_ = s.audit.Append(rec)
+// auditLocked appends audit records as one durable batch, best-effort
+// (nil-safe).
+func (s *Server) auditLocked(recs ...audit.Record) {
+	_ = s.audit.AppendBatch(recs)
 }
 
 // ServerStats counts server-side events.
@@ -211,7 +213,7 @@ func NewServer(cfg Config, service *attest.Service) (*Server, error) {
 		service:  service,
 		licenses: make(map[string]*License),
 		clients:  make(map[string]*clientState),
-		holders:  make(map[string]map[string]*clientState),
+		holders:  make(map[string][]*clientState),
 	}, nil
 }
 
@@ -514,22 +516,29 @@ type Grant struct {
 }
 
 // renewCall is one waiter in the renewal batcher: a request parked until
-// the batch that carries it commits (or is denied).
+// the batch that carries it commits (or is denied), or until it is handed
+// the leadership.
 type renewCall struct {
 	slid    string
 	license string
 	grant   Grant
 	err     error
-	done    chan struct{}
+	// wake receives once: when the call's result is ready, or when the
+	// call must lead the next batch (lead is then set). It has room for
+	// one signal so a sender never blocks; a leader's own batch result
+	// lands in it unread.
+	wake chan struct{}
+	lead bool
 }
 
 // renewBatcher coalesces concurrent RenewLease calls into group commits.
 // The first caller to find no leader becomes the leader: it drains the
 // pending queue, processes the whole batch under ONE hold of Server.mu
-// with ONE write-ahead-log append (which rides the store's batched-fsync
-// window), fans the per-caller results back out, and keeps draining until
-// the queue is empty. Callers that arrive while a leader is active just
-// park — their request rides the leader's next batch.
+// with ONE write-ahead-log append and ONE audit append (one fsync each),
+// fans the per-caller results back out, and then hands the leadership to
+// the oldest waiter instead of draining again — so no caller leads for
+// longer than its own batch, and every call returns within two batches of
+// being enqueued. Callers that arrive while a leader is active just park.
 //
 // Lock order: renewBatcher.mu is released before Server.mu is taken and
 // is never acquired while holding it.
@@ -546,48 +555,57 @@ type renewBatcher struct {
 // the clients currently holding or requesting this license.
 //
 // Concurrent calls coalesce: one caller leads, folding every pending
-// renewal into a single pass under the state lock with a single
-// group-committed WAL append, so N pipelined renewals cost one fsync
-// window instead of N.
+// renewal into a single pass under the state lock with a single WAL
+// append and a single audit append, so N pipelined renewals cost two
+// fsyncs instead of 2N.
 func (s *Server) RenewLease(slid, licenseID string) (Grant, error) {
-	call := &renewCall{slid: slid, license: licenseID, done: make(chan struct{})}
+	call := &renewCall{slid: slid, license: licenseID, wake: make(chan struct{}, 1)}
 	s.renews.mu.Lock()
 	s.renews.pending = append(s.renews.pending, call)
 	if s.renews.leading {
 		s.renews.mu.Unlock()
-		<-call.done
-		return call.grant, call.err
+		<-call.wake
+		if !call.lead {
+			return call.grant, call.err
+		}
+		s.renews.mu.Lock()
 	}
 	s.renews.leading = true
-	for {
-		batch := s.renews.pending
-		s.renews.pending = nil
-		s.renews.mu.Unlock()
-		s.renewBatch(batch)
-		s.renews.mu.Lock()
-		if len(s.renews.pending) == 0 {
-			s.renews.leading = false
-			s.renews.mu.Unlock()
-			break
-		}
+	batch := s.renews.pending // holds this call
+	s.renews.pending = nil
+	s.renews.mu.Unlock()
+	s.renewBatch(batch)
+	s.renews.mu.Lock()
+	if len(s.renews.pending) == 0 {
+		s.renews.leading = false
+	} else {
+		next := s.renews.pending[0]
+		next.lead = true
+		next.wake <- struct{}{}
 	}
-	<-call.done
+	s.renews.mu.Unlock()
 	return call.grant, call.err
 }
 
-// renewBatch processes one drained batch: every call's Algorithm-1 grant
-// is computed against the batch-start state (with a per-license running
-// pool balance so the batch can never over-grant), the surviving grants
-// are made durable with one WAL append, and only then applied. Denials
-// are audited individually and never logged — a denial mutates nothing.
+// renewBatch processes one drained batch under Server.mu and releases
+// every caller once the batch's WAL record and audit records are durable.
 func (s *Server) renewBatch(batch []*renewCall) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() {
-		for _, call := range batch {
-			close(call.done)
-		}
-	}()
+	s.auditLocked(s.renewBatchLocked(batch)...)
+	for _, call := range batch {
+		call.wake <- struct{}{}
+	}
+}
+
+// renewBatchLocked computes every call's Algorithm-1 grant against the
+// batch-start state (with a per-license running pool balance so the batch
+// can never over-grant), makes the surviving grants durable with one WAL
+// append, and only then applies them. Denials are never logged — a denial
+// mutates nothing. It returns the batch's audit records, denials first,
+// for the caller to append as one batch.
+func (s *Server) renewBatchLocked(batch []*renewCall) []audit.Record {
+	var recs []audit.Record
 
 	type grantPlan struct {
 		call  *renewCall
@@ -615,6 +633,10 @@ func (s *Server) renewBatch(batch []*renewCall) {
 	rcs := make([]resolved, len(batch))
 	coByLic := make(map[string][]*clientState)
 	coSeen := make(map[string]map[string]bool)
+	// orders caches each license's concurrency order for this batch; set
+	// is the one grant's concurrency set, rebuilt in place per grant.
+	orders := make(map[string][]*clientState)
+	var set []*clientState
 	for i, call := range batch {
 		c, ok := s.clients[call.slid]
 		if !ok {
@@ -643,7 +665,7 @@ func (s *Server) renewBatch(batch []*renewCall) {
 		}
 		deny := func(err error) {
 			s.stats.RenewalsDenied++
-			s.auditLocked(audit.Record{Op: audit.OpDeny, SLID: call.slid, License: call.license, Err: err.Error()})
+			recs = append(recs, audit.Record{Op: audit.OpDeny, SLID: call.slid, License: call.license, Err: err.Error()})
 			s.flight.Load().Emit("slremote.denial",
 				flight.KV{K: "slid", V: call.slid},
 				flight.KV{K: "license", V: call.license},
@@ -671,8 +693,14 @@ func (s *Server) renewBatch(batch []*renewCall) {
 			units = 1
 			st = alg1State{alpha: 1, gMax: 1, health: c.health, reliability: c.reliability}
 		} else {
-			holders, weightSum := s.holdersBatchLocked(lic.ID, c, coByLic[lic.ID])
-			units, st = s.computeGrantWithLocked(c, lic, holders, weightSum)
+			order, ok := orders[lic.ID]
+			if !ok {
+				order = s.batchOrderLocked(lic.ID, coByLic[lic.ID])
+				orders[lic.ID] = order
+			}
+			var weightSum float64
+			set, weightSum = concurrencySet(set[:0], c, order)
+			units, st = s.computeGrantWithLocked(c, lic, set, weightSum)
 			if units <= 0 && rem > 0 {
 				// Algorithm 1's scale-downs can floor small pools to zero;
 				// a live license always yields at least one unit so small
@@ -692,7 +720,7 @@ func (s *Server) renewBatch(batch []*renewCall) {
 	}
 
 	if len(plans) == 0 {
-		return
+		return recs
 	}
 
 	// The WAL records the Algorithm 1 *outcomes* (the granted units), not
@@ -714,7 +742,7 @@ func (s *Server) renewBatch(batch []*renewCall) {
 		for i := range plans {
 			plans[i].call.err = err
 		}
-		return
+		return recs
 	}
 
 	for _, p := range plans {
@@ -734,7 +762,7 @@ func (s *Server) renewBatch(batch []*renewCall) {
 			m.alg1Health.With(p.call.slid).Set(p.st.health)
 			m.alg1Reliability.With(p.call.slid).Set(p.st.reliability)
 		}
-		s.auditLocked(audit.Record{
+		recs = append(recs, audit.Record{
 			Op: audit.OpRenew, SLID: p.call.slid, License: p.call.license, Units: p.units,
 			Alg1: &audit.Alg1{
 				Alpha:        p.st.alpha,
@@ -751,6 +779,7 @@ func (s *Server) renewBatch(batch []*renewCall) {
 		}
 	}
 	s.maybeSnapshotLocked()
+	return recs
 }
 
 // applyRenewLocked transfers units from the license pool to the client.
@@ -778,16 +807,9 @@ type alg1State struct {
 	expLoss     float64 // Equation 1 after the final scale-down
 }
 
-// computeGrantLocked is Algorithm 1 (RenewLease) from the paper.
-func (s *Server) computeGrantLocked(c *clientState, lic *License) (int64, alg1State) {
-	holders, weightSum := s.holdersLocked(lic.ID, c)
-	return s.computeGrantWithLocked(c, lic, holders, weightSum)
-}
-
-// computeGrantWithLocked is the Algorithm 1 body against an explicit
-// concurrency set: holders must include c, and weightSum must span
-// exactly holders. Coalesced batches pass a set with their co-requesters
-// folded in; the single-renewal path passes holdersLocked's view.
+// computeGrantWithLocked is Algorithm 1 (RenewLease) from the paper,
+// against an explicit concurrency set: holders must include c, and
+// weightSum must span exactly holders (see concurrencySet).
 func (s *Server) computeGrantWithLocked(c *clientState, lic *License, holders []*clientState, weightSum float64) (int64, alg1State) {
 	concurrency := float64(len(holders))
 	alpha := c.weight / weightSum // α_i with Σα_i = 1
@@ -833,91 +855,83 @@ func (s *Server) computeGrantWithLocked(c *clientState, lic *License, holders []
 	}
 }
 
-// holdersLocked returns the clients that currently hold or are requesting
-// the license (always including the requester) and their total weight.
-// Holders come back in sorted-SLID order so the floating-point sums built
-// over them (weight normalization, Equation 1) are reproducible — seeded
-// harness runs depend on that, and map order would break it.
-func (s *Server) holdersLocked(licenseID string, requester *clientState) ([]*clientState, float64) {
-	idx := s.holders[licenseID]
-	slids := make([]string, 0, len(idx))
-	for slid, other := range idx {
-		if other == requester || other.crashed {
-			continue
+// batchOrderLocked is one batch's concurrency order for a license: the
+// cached holder order with the batch's co-requesters that do not hold the
+// license yet merged in, still in sorted-SLID order. The batch prices every
+// grant as if all its requesters already held the license, which is the
+// state sequential arrival converges to. Without newcomers it returns the
+// cached order itself, which stays valid until the next holder change.
+func (s *Server) batchOrderLocked(licenseID string, co []*clientState) []*clientState {
+	held := s.holders[licenseID]
+	var fresh []*clientState
+	for _, c := range co {
+		if _, in := holderPos(held, c.slid); !in {
+			fresh = append(fresh, c)
 		}
-		slids = append(slids, slid)
 	}
-	sort.Strings(slids)
-	holders := make([]*clientState, 0, len(slids)+1)
-	holders = append(holders, requester)
-	weightSum := requester.weight
-	for _, slid := range slids {
-		other := idx[slid]
-		holders = append(holders, other)
-		weightSum += other.weight
+	if len(fresh) == 0 {
+		return held
 	}
-	if weightSum <= 0 {
-		weightSum = 1
+	slices.SortFunc(fresh, func(a, b *clientState) int { return strings.Compare(a.slid, b.slid) })
+	order := make([]*clientState, 0, len(held)+len(fresh))
+	for _, h := range held {
+		for len(fresh) > 0 && fresh[0].slid < h.slid {
+			order = append(order, fresh[0])
+			fresh = fresh[1:]
+		}
+		order = append(order, h)
 	}
-	return holders, weightSum
+	return append(order, fresh...)
 }
 
-// holdersBatchLocked is holdersLocked with the rest of a coalesced
-// batch's requesters for the same license folded into the concurrency
-// set: the batch prices every grant as if all its requesters already
-// held the license, which is the state sequential arrival converges to.
-// With co = {requester} it degenerates to holdersLocked exactly, so
-// singleton batches price like the pre-coalescing server.
-func (s *Server) holdersBatchLocked(licenseID string, requester *clientState, co []*clientState) ([]*clientState, float64) {
-	idx := s.holders[licenseID]
-	members := make(map[string]*clientState, len(idx)+len(co))
-	for slid, other := range idx {
-		if other == requester || other.crashed {
-			continue
-		}
-		members[slid] = other
-	}
-	for _, r := range co {
-		if r == requester || r.crashed {
-			continue
-		}
-		members[r.slid] = r
-	}
-	slids := make([]string, 0, len(members))
-	for slid := range members {
-		slids = append(slids, slid)
-	}
-	sort.Strings(slids)
-	holders := make([]*clientState, 0, len(slids)+1)
-	holders = append(holders, requester)
+// concurrencySet builds one grant's concurrency set into dst: the
+// requester first, then every other live client of order in order, with
+// their total weight summed in that same order. The fixed order keeps the
+// floating-point sums (weight normalization, Equation 1) reproducible —
+// seeded harness runs depend on that, and map order would break it.
+func concurrencySet(dst []*clientState, requester *clientState, order []*clientState) ([]*clientState, float64) {
+	dst = append(dst, requester)
 	weightSum := requester.weight
-	for _, slid := range slids {
-		holders = append(holders, members[slid])
-		weightSum += members[slid].weight
+	for _, h := range order {
+		if h == requester || h.crashed {
+			continue
+		}
+		dst = append(dst, h)
+		weightSum += h.weight
 	}
 	if weightSum <= 0 {
 		weightSum = 1
 	}
-	return holders, weightSum
+	return dst, weightSum
+}
+
+// holderPos finds slid in a sorted holder order: its index, or the index
+// it would be inserted at.
+func holderPos(order []*clientState, slid string) (int, bool) {
+	return slices.BinarySearchFunc(order, slid, func(h *clientState, slid string) int {
+		return strings.Compare(h.slid, slid)
+	})
 }
 
 // setHolderLocked and clearHolderLocked maintain the per-license holder
-// index; every mutation of a client's outstanding balance goes through one
-// of them.
+// order; every mutation of a client's outstanding balance goes through one
+// of them, and only a joining or leaving holder changes the order.
 func (s *Server) setHolderLocked(licenseID string, c *clientState) {
-	idx := s.holders[licenseID]
-	if idx == nil {
-		idx = make(map[string]*clientState)
-		s.holders[licenseID] = idx
+	order := s.holders[licenseID]
+	if i, in := holderPos(order, c.slid); !in {
+		s.holders[licenseID] = slices.Insert(order, i, c)
 	}
-	idx[c.slid] = c
 }
 
 func (s *Server) clearHolderLocked(licenseID string, c *clientState) {
-	idx := s.holders[licenseID]
-	delete(idx, c.slid)
-	if len(idx) == 0 {
+	order := s.holders[licenseID]
+	i, in := holderPos(order, c.slid)
+	switch {
+	case !in:
+	case len(order) == 1:
 		delete(s.holders, licenseID)
+	default:
+		s.holders[licenseID] = slices.Delete(order, i, i+1)
 	}
 }
 

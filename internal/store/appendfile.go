@@ -70,19 +70,35 @@ func OpenAppendFileFS(fsys FS, path string) (*AppendFile, [][]byte, error) {
 	return &AppendFile{f: f, path: path, size: valid}, out, nil
 }
 
-// Append frames, writes, and fsyncs one record. A failed write or fsync is
-// rolled back to the last durable frame: clients of AppendFile (the audit
-// chain) treat appends as best-effort and keep going, so a partial frame
-// left in place would corrupt the interior of the file for every append
-// after it.
+// Append frames, writes, and fsyncs one record: AppendBatch of one.
 func (a *AppendFile) Append(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("store: empty record")
+	return a.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch frames every payload, writes the frames with one write and
+// makes them durable with one fsync: all of them land or none does. A
+// failed write or fsync is rolled back to the last durable frame: clients
+// of AppendFile (the audit chain) treat appends as best-effort and keep
+// going, so a partial frame left in place would corrupt the interior of
+// the file for every append after it.
+func (a *AppendFile) AppendBatch(payloads [][]byte) error {
+	if len(payloads) == 0 {
+		return nil
 	}
-	if len(payload) > MaxRecordSize {
-		return fmt.Errorf("store: record of %d bytes exceeds %d", len(payload), MaxRecordSize)
+	n := 0
+	for _, p := range payloads {
+		if len(p) == 0 {
+			return fmt.Errorf("store: empty record")
+		}
+		if len(p) > MaxRecordSize {
+			return fmt.Errorf("store: record of %d bytes exceeds %d", len(p), MaxRecordSize)
+		}
+		n += frameHeaderSize + len(p)
 	}
-	frame := appendRecord(nil, payload)
+	frames := make([]byte, 0, n)
+	for _, p := range payloads {
+		frames = appendRecord(frames, p)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.f == nil {
@@ -91,7 +107,7 @@ func (a *AppendFile) Append(payload []byte) error {
 	if a.wedged != nil {
 		return a.wedged
 	}
-	if _, err := a.f.Write(frame); err != nil {
+	if _, err := a.f.Write(frames); err != nil {
 		a.rollbackLocked(err)
 		return fmt.Errorf("store: appending to %s: %w", a.path, err)
 	}
@@ -99,7 +115,7 @@ func (a *AppendFile) Append(payload []byte) error {
 		a.rollbackLocked(err)
 		return fmt.Errorf("store: syncing %s: %w", a.path, err)
 	}
-	a.size += int64(len(frame))
+	a.size += int64(len(frames))
 	return nil
 }
 

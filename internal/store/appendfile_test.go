@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -146,5 +147,72 @@ func TestAppendFileInteriorCorruptionFailsLoudly(t *testing.T) {
 	}
 	if _, err := ReadAppendFile(path); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("read with interior corruption = %v, want ErrCorruptRecord", err)
+	}
+}
+
+// countingFS counts the writes and fsyncs made through the files it opens.
+type countingFS struct {
+	FS
+	writes, syncs int
+}
+
+type countingFile struct {
+	File
+	fs *countingFS
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+func (f *countingFile) Write(p []byte) (int, error) { f.fs.writes++; return f.File.Write(p) }
+func (f *countingFile) Sync() error                 { f.fs.syncs++; return f.File.Sync() }
+
+// TestAppendBatchOneWriteOneFsync pins AppendBatch's cost: N frames
+// go out in one write and become durable with one fsync, and decode back
+// as N records in order. A single Append is a batch of one.
+func TestAppendBatchOneWriteOneFsync(t *testing.T) {
+	fsys := &countingFS{FS: OSFS()}
+	path := filepath.Join(t.TempDir(), "log")
+	f, _, err := OpenAppendFileFS(fsys, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	batch := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), []byte("dddd"), []byte("eeeee")}
+	if err := f.AppendBatch(batch); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if fsys.writes != 1 || fsys.syncs != 1 {
+		t.Fatalf("batch of %d cost %d writes and %d fsyncs, want 1 and 1", len(batch), fsys.writes, fsys.syncs)
+	}
+	if err := f.Append([]byte("solo")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := f.AppendBatch(nil); err != nil {
+		t.Fatalf("empty AppendBatch: %v", err)
+	}
+	if fsys.writes != 2 || fsys.syncs != 2 {
+		t.Fatalf("after one more append: %d writes, %d fsyncs, want 2 and 2", fsys.writes, fsys.syncs)
+	}
+	if err := f.AppendBatch([][]byte{[]byte("ok"), nil}); err == nil {
+		t.Fatal("batch holding an empty record accepted")
+	}
+	recs, err := ReadAppendFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(batch, []byte("solo"))
+	if len(recs) != len(want) {
+		t.Fatalf("read %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(recs[i], want[i]) {
+			t.Fatalf("record %d = %q, want %q", i, recs[i], want[i])
+		}
 	}
 }

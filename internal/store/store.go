@@ -8,9 +8,11 @@
 // same integrity discipline the in-enclave lease tree gets from
 // Protect/Validate. The store provides:
 //
-//   - a WAL of length-prefixed, CRC32C-framed records with three fsync
-//     disciplines (per-append, group-commit batching with a small window,
-//     or none);
+//   - a WAL of length-prefixed, CRC32C-framed records that is fsynced on
+//     every append (or, for benchmarks of the rest of the system, never).
+//     There is no commit window: the group commit happens upstream, where
+//     SL-Remote folds a whole coalesced renewal batch into one record, so
+//     one fsync per append is one fsync per batch;
 //   - generation-numbered snapshot files holding a full (sealed, by the
 //     caller) state image, after which the previous generation's WAL and
 //     snapshot are compacted away;
@@ -49,23 +51,21 @@ type Snapshotter interface {
 type SyncMode int
 
 const (
-	// SyncBatched groups appends that land within BatchWindow into one
-	// fsync (group commit): every Append still blocks until the fsync
-	// covering it completes, so durability is preserved while the fsync
-	// cost is amortized across concurrent writers.
-	SyncBatched SyncMode = iota
-	// SyncAlways fsyncs on every append.
-	SyncAlways
+	// SyncAlways fsyncs every append before Append returns. It is the
+	// zero value.
+	SyncAlways SyncMode = iota
 	// SyncOff never fsyncs (the OS flushes when it pleases). Crash
 	// durability is whatever the kernel left on disk; recovery still
 	// handles the resulting torn tail.
 	SyncOff
+	// SyncBatched is the older name of SyncAlways, still accepted as
+	// "-fsync batched". Appends are batched upstream, one coalesced
+	// renewal batch per record, so the store itself has no window.
+	SyncBatched = SyncAlways
 )
 
 func (m SyncMode) String() string {
 	switch m {
-	case SyncBatched:
-		return "batched"
 	case SyncAlways:
 		return "always"
 	case SyncOff:
@@ -75,13 +75,12 @@ func (m SyncMode) String() string {
 	}
 }
 
-// ParseSyncMode parses the -fsync flag grammar: "always", "batched", "off".
+// ParseSyncMode parses the -fsync flag grammar: "always", "batched" (the
+// same mode), "off".
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
-	case "always":
+	case "always", "batched":
 		return SyncAlways, nil
-	case "batched":
-		return SyncBatched, nil
 	case "off":
 		return SyncOff, nil
 	default:
@@ -89,20 +88,12 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	}
 }
 
-// DefaultBatchWindow is the group-commit window used when Options leaves
-// BatchWindow zero: long enough to coalesce a burst of renewals, short
-// enough to stay invisible next to the paper's multi-second RA latency.
-const DefaultBatchWindow = 2 * time.Millisecond
-
 // Options configures Open.
 type Options struct {
 	// Dir is the state directory; created (0700) if absent.
 	Dir string
-	// Mode is the fsync discipline (zero value: SyncBatched).
+	// Mode is the fsync discipline (zero value: SyncAlways).
 	Mode SyncMode
-	// BatchWindow is the group-commit window for SyncBatched (zero value:
-	// DefaultBatchWindow).
-	BatchWindow time.Duration
 	// Metrics, when non-nil, receives WAL/snapshot/recovery observations
 	// (see ExposeMetrics). Nil disables instrumentation at zero cost.
 	Metrics *Metrics
@@ -114,32 +105,20 @@ type Options struct {
 // ErrClosed reports use of a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// walBatch is one group commit in flight: appenders whose writes are in
-// the OS buffer park on done until the covering fsync lands.
-type walBatch struct {
-	timer *time.Timer
-	done  chan struct{}
-	err   error
-}
-
 // Store is a durable WAL + snapshot pair rooted at one directory. It is
 // safe for concurrent use. Store implements Logger and Snapshotter.
 type Store struct {
 	mode    SyncMode
-	window  time.Duration
 	dir     string
 	metrics *Metrics
 	fsys    FS
 
-	mu       sync.Mutex
-	f        File // current generation's WAL, opened for append
-	gen      uint64
-	size     int64     // bytes written to the current WAL (valid frames only)
-	synced   int64     // bytes known durable (≤ size)
-	batch    *walBatch // pending group commit, SyncBatched only
-	closed   bool
-	wedged   error // sticky failure after an unrecoverable rollback
-	finalErr error // result of Close's final fsync, for late flushers
+	mu     sync.Mutex
+	f      File // current generation's WAL, opened for append
+	gen    uint64
+	size   int64 // bytes of whole frames in the current WAL, all durable (SyncAlways)
+	closed bool
+	wedged error // sticky failure after an unrecoverable rollback
 }
 
 // Open recovers the directory's persisted state and returns a store ready
@@ -167,14 +146,10 @@ func Open(opts Options) (*Store, *Recovered, error) {
 
 	s := &Store{
 		mode:    opts.Mode,
-		window:  opts.BatchWindow,
 		dir:     opts.Dir,
 		metrics: opts.Metrics,
 		fsys:    fsys,
 		gen:     rec.Generation,
-	}
-	if s.window <= 0 {
-		s.window = DefaultBatchWindow
 	}
 	walPath := s.walPath(s.gen)
 	f, err := fsys.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o600)
@@ -196,16 +171,15 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	}
 	s.f = f
 	s.size = valid
-	s.synced = valid
 	// Earlier generations are garbage once a newer snapshot validated; a
 	// crash between snapshot rename and cleanup can leave them behind.
 	s.removeStaleGenerations(rec.Generation)
 	return s, rec, nil
 }
 
-// Append durably logs one record. With SyncAlways it returns after its own
-// fsync; with SyncBatched it returns once the group commit covering it has
-// synced; with SyncOff it returns after the buffered write.
+// Append durably logs one record: it returns after the record's own
+// fsync (SyncOff: after the buffered write). Appends are serialized, so
+// outside Append every whole frame in the WAL is durable.
 func (s *Store) Append(rec []byte) error {
 	if len(rec) == 0 {
 		return errors.New("store: empty record")
@@ -216,93 +190,34 @@ func (s *Store) Append(rec []byte) error {
 	frame := appendRecord(nil, rec)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
 	if s.wedged != nil {
-		err := s.wedged
-		s.mu.Unlock()
-		return err
+		return s.wedged
 	}
 	if _, err := s.f.Write(frame); err != nil {
 		// A short or failed write may have left a partial frame on disk.
 		// Cut the file back to the last full frame so the record boundary
 		// discipline survives and later appends stay decodable.
 		s.truncateToLocked(s.size, err)
-		s.mu.Unlock()
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
-	s.size += int64(len(frame))
 	s.metrics.observeAppend(len(frame))
-
-	switch s.mode {
-	case SyncOff:
-		// Nothing stronger to roll back to: treat the buffered write as
-		// the durability floor, like the mode's contract says.
-		s.synced = s.size
-		s.mu.Unlock()
-		return nil
-	case SyncAlways:
-		err := s.syncLocked()
+	if s.mode != SyncOff {
+		start := time.Now()
+		err := s.f.Sync()
+		s.metrics.observeFsync(time.Since(start))
 		if err != nil {
 			// The frame is written but not durable, and the caller will
 			// abort its mutation — drop the frame so a recovery never
 			// replays an event that was never applied.
-			s.truncateToLocked(s.synced, err)
-		}
-		s.mu.Unlock()
-		return err
-	}
-	// SyncBatched: join (or open) the current group commit and wait for
-	// its fsync outside the lock.
-	b := s.batch
-	if b == nil {
-		b = &walBatch{done: make(chan struct{})}
-		b.timer = time.AfterFunc(s.window, func() { s.flushBatch(b) })
-		s.batch = b
-	}
-	s.mu.Unlock()
-	<-b.done
-	return b.err
-}
-
-// flushBatch completes one group commit: fsync once, release every waiter.
-// If Close won the race, its final fsync already covered every buffered
-// write, so the batch inherits that result instead of syncing a closed
-// file.
-func (s *Store) flushBatch(b *walBatch) {
-	s.mu.Lock()
-	if s.batch == b {
-		s.batch = nil
-	}
-	var err error
-	if s.closed {
-		err = s.finalErr
-	} else {
-		err = s.syncLocked()
-		if err != nil {
-			// Every unsynced byte belongs to this batch, and every waiter
-			// on it receives the error — so dropping those bytes keeps the
-			// file consistent with what the callers were told.
-			s.truncateToLocked(s.synced, err)
+			s.truncateToLocked(s.size, err)
+			return fmt.Errorf("store: fsync: %w", err)
 		}
 	}
-	s.mu.Unlock()
-	b.err = err
-	close(b.done)
-}
-
-// syncLocked fsyncs the WAL and records the latency. On success everything
-// written so far is durable.
-func (s *Store) syncLocked() error {
-	start := time.Now()
-	err := s.f.Sync()
-	s.metrics.observeFsync(time.Since(start))
-	if err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
-	}
-	s.synced = s.size
+	s.size += int64(len(frame))
 	return nil
 }
 
@@ -322,9 +237,6 @@ func (s *Store) truncateToLocked(off int64, cause error) {
 		return
 	}
 	s.size = off
-	if s.synced > off {
-		s.synced = off
-	}
 }
 
 // Snapshot writes a full state image as generation gen+1 and switches
@@ -350,15 +262,8 @@ func (s *Store) Snapshot(state []byte) error {
 	if s.wedged != nil {
 		return s.wedged
 	}
-	// Anything already in the WAL buffer must be on disk before the
-	// snapshot that supersedes it claims to cover it. On failure the
-	// unsynced bytes are a pending batch's, and its flush will report the
-	// error (and roll back) to the appenders that own them.
-	if s.mode != SyncOff {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
+	// Every appended frame is already durable (Append fsyncs before it
+	// releases the lock), so the snapshot supersedes nothing unsynced.
 	next := s.gen + 1
 	snapPath := s.snapPath(next)
 	tmp := snapPath + ".tmp"
@@ -388,7 +293,6 @@ func (s *Store) Snapshot(state []byte) error {
 	s.f = f
 	s.gen = next
 	s.size = 0
-	s.synced = 0
 	old.Close()
 	s.fsys.Remove(s.walPath(oldGen))
 	s.fsys.Remove(s.snapPath(oldGen))
@@ -414,44 +318,17 @@ func (s *Store) Generation() uint64 {
 	return s.gen
 }
 
-// Close flushes any pending group commit and closes the WAL. Appends after
-// Close fail with ErrClosed.
+// Close closes the WAL. Every append already returned durable, so there
+// is nothing left to flush. Appends after Close fail with ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
-	// Claim the pending batch only if its timer has not fired yet; if it
-	// has, flushBatch owns the batch and will pick up finalErr below.
-	var claimed *walBatch
-	if b := s.batch; b != nil && b.timer.Stop() {
-		claimed = b
-		s.batch = nil
-	}
-	var err error
-	if s.mode != SyncOff {
-		err = s.syncLocked()
-		if err != nil {
-			// Best effort: drop unsynced bytes so the file on disk matches
-			// what callers were promised. The owning batch (claimed below,
-			// or flushing concurrently) receives the sync error either way.
-			s.truncateToLocked(s.synced, err)
-		}
-	}
-	s.finalErr = err
 	s.closed = true
-	cerr := s.f.Close()
-	s.mu.Unlock()
-	if claimed != nil {
-		claimed.err = err
-		close(claimed.done)
-	}
-	if err != nil {
-		return err
-	}
-	if cerr != nil {
-		return fmt.Errorf("store: closing WAL: %w", cerr)
+	if err := s.f.Close(); err != nil {
+		return fmt.Errorf("store: closing WAL: %w", err)
 	}
 	return nil
 }

@@ -38,8 +38,14 @@ func recordsAsStrings(rec *Recovered) []string {
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
-	for _, mode := range []SyncMode{SyncAlways, SyncBatched, SyncOff} {
-		t.Run(mode.String(), func(t *testing.T) {
+	// "batched" is the accepted older spelling of "always"; both stay
+	// covered under the flag names operators pass.
+	for _, name := range []string{"always", "batched", "off"} {
+		mode, err := ParseSyncMode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, rec := openT(t, dir, mode)
 			if !rec.Empty() {
@@ -84,9 +90,9 @@ func TestEmptyRecordRejected(t *testing.T) {
 	}
 }
 
-// TestBatchedGroupCommit drives concurrent appenders through the batched
-// fsync path: every append must come back durable and recovery must see
-// all of them exactly once.
+// TestBatchedGroupCommit drives concurrent appenders through the
+// "batched" spelling of the fsync-per-append path: every append must come
+// back durable and recovery must see all of them exactly once.
 func TestBatchedGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, SyncBatched)

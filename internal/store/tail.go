@@ -64,7 +64,7 @@ func (s *Store) TailSince(gen uint64, offset int64, maxBytes int) (TailBatch, er
 
 func (s *Store) tailOnce(gen uint64, offset int64, maxBytes int) (TailBatch, bool, error) {
 	s.mu.Lock()
-	curGen, synced := s.gen, s.synced
+	curGen, synced := s.gen, s.size
 	closed, wedged := s.closed, s.wedged
 	s.mu.Unlock()
 	if closed {
@@ -108,7 +108,7 @@ func (s *Store) tailOnce(gen uint64, offset int64, maxBytes int) (TailBatch, boo
 			s.mu.Unlock()
 			return TailBatch{}, true, errors.New("store: generation moved during tail")
 		}
-		synced = s.synced
+		synced = s.size
 		s.mu.Unlock()
 	} else if offset > synced {
 		return TailBatch{}, false, fmt.Errorf("store: tail offset %d beyond durable tip %d of generation %d", offset, synced, gen)

@@ -171,7 +171,7 @@ func TestTailSinceServesOnlyDurableBytes(t *testing.T) {
 		t.Fatalf("got %d records, want 5", len(b.Records))
 	}
 	s.mu.Lock()
-	synced := s.synced
+	synced := s.size
 	s.mu.Unlock()
 	if b.NextOffset != synced {
 		t.Fatalf("NextOffset %d != synced %d", b.NextOffset, synced)

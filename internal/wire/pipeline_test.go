@@ -64,15 +64,18 @@ func startPipeDeployment(t testing.TB, wrap func(net.Listener) net.Listener) *pi
 func TestPipelinedDemuxRaceStress(t *testing.T) {
 	const workers = 64
 	const iters = 16
+	const armedReorders = 48
 	licName := func(i int) string { return fmt.Sprintf("lic-%02d", i) }
 	licTotal := func(i int) int64 { return 100_000 + int64(i)*7 }
 
 	dir := chaos.NewNetDirector()
-	// Reorder replies throughout the response stream (the stream is
-	// roughly workers*iters frames long), with a few delays mixed in so
-	// handler goroutines also finish out of order.
-	for k := 0; k < 48; k++ {
-		dir.Arm(chaos.ConnFault{Kind: chaos.Reorder, After: 5 + 18*k})
+	// Reorder replies through the response stream, with a few delays
+	// mixed in so handler goroutines also finish out of order. The stream
+	// carries workers*iters replies, but the server coalesces them into
+	// fewer writes (400–650 on a 2-core box), so the reorders sit in the
+	// first 300 writes where every run reaches them.
+	for k := 0; k < armedReorders; k++ {
+		dir.Arm(chaos.ConnFault{Kind: chaos.Reorder, After: 5 + 6*k})
 	}
 	for k := 0; k < 8; k++ {
 		dir.Arm(chaos.ConnFault{Kind: chaos.Delay, After: 40 + 111*k})
@@ -170,10 +173,13 @@ func TestPipelinedDemuxRaceStress(t *testing.T) {
 			reorders++
 		}
 	}
-	if reorders == 0 {
-		t.Fatal("no reorder faults fired — the stress ran without out-of-order delivery")
+	// A stalled reply stream stops the write counter, so armed reorders
+	// past the stall never fire; demand most of them so a run that limped
+	// through on a few cannot pass.
+	if reorders < armedReorders/2 {
+		t.Fatalf("only %d of %d armed reorder faults fired — the stress ran without enough out-of-order delivery", reorders, armedReorders)
 	}
-	t.Logf("demux survived %d reordered replies across %d RPCs", reorders, workers*iters)
+	t.Logf("demux survived %d reordered replies across %d RPCs in %d server writes", reorders, workers*iters, dir.Writes())
 }
 
 // TestPipelinedManyInFlightOneConn proves requests genuinely overlap on a
